@@ -56,32 +56,29 @@ def _parse_dims(text: str):
 
 
 def cmd_emit_ir(args) -> int:
-    from .dialects import polygeist
-    from .frontend import ModuleGenerator, parse_translation_unit
+    from .frontend import parse_translation_unit
     from .ir import print_op
+    from .pipeline import compile_launch
     from .transforms import coarsen_wrapper, run_cleanup
 
-    unit = parse_translation_unit(_load_source(args.file))
-    generator = ModuleGenerator(unit)
-    kernels = [f.name for f in unit.kernels()]
+    source = _load_source(args.file)
+    kernels = [f.name for f in parse_translation_unit(source).kernels()]
     if not kernels:
         print("no __global__ kernels found", file=sys.stderr)
         return 1
     kernel = args.kernel or kernels[0]
-    block = _parse_dims(args.block)
-    name = generator.get_launch_wrapper(kernel, args.grid_rank, block)
-    run_cleanup(generator.module)
-    wrapper = polygeist.find_gpu_wrappers(generator.module.func(name))[0]
+    launch = compile_launch(source, kernel, args.grid_rank,
+                            _parse_dims(args.block))
     if args.block_factor > 1 or args.thread_factor > 1:
         result = coarsen_wrapper(
-            wrapper,
+            launch.wrapper,
             block_total=args.block_factor if args.block_factor > 1
             else None,
             thread_total=args.thread_factor if args.thread_factor > 1
             else None)
-        run_cleanup(generator.module)
+        run_cleanup(launch.module)
         print("// coarsened: %s" % result.describe())
-    print(print_op(generator.module.func(name)))
+    print(print_op(launch.func))
     return 0
 
 
@@ -95,22 +92,12 @@ def _run_full_tune(source: str, kernel: str, block, grids, arch, configs,
     the decision log names an eliminating stage per alternative.
     """
     from .autotune import tune_wrapper
-    from .dialects import polygeist
-    from .frontend import ModuleGenerator, parse_translation_unit
-    from .transforms import run_cleanup
+    from .pipeline import compile_launch
 
-    with engine.stats.stage("parse"):
-        unit = parse_translation_unit(source)
-        generator = ModuleGenerator(unit)
-    wrapper_name = generator.get_launch_wrapper(kernel, len(grids[0]),
-                                                block)
-    with engine.stats.stage("cleanup"):
-        run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    grid_args = f.body_block().args[:len(grids[0])]
-    envs = [dict(zip(grid_args, grid)) for grid in grids]
-    return tune_wrapper(wrapper, arch, envs, configs, engine=engine)
+    launch = compile_launch(source, kernel, len(grids[0]), block,
+                            engine.stats)
+    return tune_wrapper(launch.wrapper, arch, launch.envs(grids), configs,
+                        engine=engine)
 
 
 def cmd_tune(args) -> int:
@@ -136,11 +123,10 @@ def cmd_tune(args) -> int:
         # engine-less instrumentation sites (passes, filters, model)
         registry = obs_metrics.install(obs_metrics.MetricsRegistry())
         tracer = obs_tracer.install(obs_tracer.Tracer())
-        engine = TuningEngine(workers=args.workers,
-                              stats=EngineStats(registry=registry),
+        engine = TuningEngine(stats=EngineStats(registry=registry),
                               validate=validate)
     else:
-        engine = TuningEngine(workers=args.workers, validate=validate)
+        engine = TuningEngine(validate=validate)
     try:
         sweep = sweep_kernel_configs(
             _load_source(args.file), args.kernel, block, [grid], arch,
@@ -187,7 +173,7 @@ def cmd_tune(args) -> int:
             print(log.explain())
         if args.stats:
             print()
-            print("engine stages (%r):" % engine.backend)
+            print("engine stages:")
             print(engine.stats.report())
     finally:
         if tracer is not None:
@@ -203,19 +189,13 @@ def cmd_tune(args) -> int:
 def _lint_source(source: str, launches) -> list:
     """Build every distinct launch wrapper from ``launches`` and lint the
     resulting module."""
-    from .frontend import ModuleGenerator, parse_translation_unit
-    from .transforms import run_cleanup
+    from .pipeline import compile_launches
     from .validate import lint_module
 
-    generator = ModuleGenerator(parse_translation_unit(source))
-    seen = set()
-    for kernel, grid, block in launches:
-        key = (kernel, len(grid), tuple(block))
-        if key not in seen:
-            seen.add(key)
-            generator.get_launch_wrapper(kernel, len(grid), tuple(block))
-    run_cleanup(generator.module)
-    return lint_module(generator.module)
+    wrappers = compile_launches(
+        source, [(kernel, len(grid), block)
+                 for kernel, grid, block in launches])
+    return lint_module(wrappers[0].module) if wrappers else []
 
 
 def cmd_validate(args) -> int:
@@ -564,9 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--grid", default="1024")
     tune.add_argument("--block", default="256")
     tune.add_argument("--max-factor", type=int, default=32)
-    tune.add_argument("--workers", type=int, default=None,
-                      help="evaluation workers (default: "
-                           "$REPRO_TUNE_WORKERS or sequential)")
     tune.add_argument("--stats", action="store_true",
                       help="print per-stage engine timings after the sweep")
     tune.add_argument("--trace", metavar="FILE",

@@ -4,8 +4,10 @@ Auto-Tuning").
 In the paper, surviving alternatives ship in the binary with dispatch logic;
 a profiling mode times each one on real data and a final compilation removes
 all but the winner. Here the "timing runs" are simulator evaluations: each
-surviving alternative is modeled (or functionally trace-timed) for the
-actual launch geometry, and the fastest is selected into place.
+surviving alternative is scored by a pluggable scorer — the analytical
+model by default, interpreter execution in
+:meth:`~repro.pipeline.Program.profile_launch` — for the actual launch
+geometry, and the fastest is selected into place.
 """
 
 from __future__ import annotations
@@ -23,26 +25,12 @@ from ..simulator.model import (InvalidLaunch, LaunchTiming, block_count,
                                block_counts, env_columns,
                                use_scalar_model)
 from ..targets import GPUArchitecture, register_estimate_cache
+from ..transforms import cleanup_regions
 from ..transforms.alternatives import select_alternative
 from ..transforms.coarsen import block_parallels_in_region
 from .filters import FilterReport, run_planned_filters
 
 logger = get_logger("autotune.tdo")
-
-
-def _cleanup_alternatives(alt: Operation) -> None:
-    """Clean the coarsened clones (CSE / redundant-load elimination) so the
-    backend stages see what a real compiler would emit.
-
-    Scoped: only the ``polygeist.alternatives`` regions are rewritten. The
-    surrounding module was already cleaned to a fixpoint by the pipeline's
-    pre-tuning cleanup, and every pass effect is block-local or downward,
-    so this produces the same IR as re-cleaning the whole module (the
-    benchsuite-wide equivalence test in ``tests/test_scoped_cleanup.py``
-    asserts printed-IR equality).
-    """
-    from ..transforms import cleanup_regions
-    cleanup_regions(list(alt.regions))
 
 
 @dataclass
@@ -257,63 +245,71 @@ def _batched_candidates(alt: Operation, arch: GPUArchitecture,
     return candidates
 
 
-def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
-                               env,
-                               select: bool = True,
-                               backend=None) -> TuneOutcome:
-    """Model every alternative and (optionally) select the fastest.
-
-    ``env`` may be a single launch-environment dict or a sequence of them:
-    the paper's profiling mode times each alternative over the *whole*
-    application run, so alternatives are ranked by their time summed over
-    every launch geometry observed (e.g. gaussian's shrinking grids).
+def model_candidates(alt: Operation, arch: GPUArchitecture,
+                     envs: Sequence[Dict[Value, int]]) -> List[Candidate]:
+    """The default TDO scorer: model every alternative over ``envs``.
 
     All alternatives are scored in one vectorized numpy batch (bit-
     identical to the scalar reference — see
     :mod:`repro.simulator.batch`); set ``REPRO_SCALAR_MODEL=1`` to force
     the scalar path.
-
-    ``backend`` (see :mod:`repro.engine.parallel`) fans the per-alternative
-    evaluation out over workers; ``None`` evaluates sequentially (batched
-    when possible). All paths preserve order, so the selection is
-    identical.
     """
-    envs = env if isinstance(env, (list, tuple)) else [env]
     descs = polygeist.alternative_descs(alt)
+    if not use_scalar_model():
+        return _batched_candidates(alt, arch, envs, descs)
     model_cache: Dict[int, object] = {}
     blocks_cache: Dict[tuple, int] = {}
-
-    def evaluate(index: int) -> Candidate:
-        # one span per simulated profiling run; runs inside worker
-        # threads under a parallel backend, which the tracer supports
+    candidates = []
+    for index in range(len(alt.regions)):
+        # one span per simulated profiling run
         with obs_tracer.span("tdo.alternative", category="tdo",
                              desc=descs[index]) as span:
             try:
                 seconds = sum(_time_region(alt, index, arch, one,
                                            model_cache, blocks_cache)
                               for one in envs)
-                span.set(seconds=seconds)
-                obs_metrics.observe("tdo.alternative_seconds", seconds)
-                return Candidate(index, descs[index], seconds, True)
             except InvalidLaunch as error:
                 span.set(invalid=str(error))
-                return Candidate(index, descs[index], float("inf"),
-                                 False, str(error))
+                candidates.append(Candidate(index, descs[index],
+                                            float("inf"), False,
+                                            str(error)))
+                continue
+            span.set(seconds=seconds)
+            obs_metrics.observe("tdo.alternative_seconds", seconds)
+            candidates.append(Candidate(index, descs[index], seconds, True))
+    return candidates
 
-    indices = range(len(alt.regions))
-    # a sequential backend (the default engine's) gains nothing from
-    # per-alternative map dispatch — give it the vectorized batch too;
-    # explicit multi-worker backends keep the scalar fan-out
-    fan_out = backend is not None and getattr(backend, "workers", 1) > 1
+
+def _modeled_loss_reason(candidate: Candidate, best: Candidate) -> str:
+    if best.time_seconds > 0.0:
+        return "%.3es modeled, %.2fx slower than the winner" % (
+            candidate.time_seconds, candidate.time_seconds /
+            best.time_seconds)
+    return "%.3es modeled, slower than the winner" % candidate.time_seconds
+
+
+def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
+                               env,
+                               select: bool = True,
+                               scorer=None) -> TuneOutcome:
+    """Time every alternative and (optionally) select the fastest.
+
+    ``env`` may be a single launch-environment dict or a sequence of them:
+    the paper's profiling mode times each alternative over the *whole*
+    application run, so alternatives are ranked by their time summed over
+    every launch geometry observed (e.g. gaussian's shrinking grids).
+
+    ``scorer(alt, arch, envs)`` returns one :class:`Candidate` per region
+    of ``alt``; the default is :func:`model_candidates`. A scorer may
+    define ``loss_reason(candidate, best)`` to word the timing-stage
+    decision entries of the losers.
+    """
+    envs = env if isinstance(env, (list, tuple)) else [env]
+    scorer = scorer if scorer is not None else model_candidates
     with obs_tracer.span("tdo", category="tdo",
                          alternatives=len(alt.regions),
                          launches=len(envs)):
-        if fan_out:
-            candidates = list(backend.map(evaluate, indices))
-        elif use_scalar_model():
-            candidates = [evaluate(index) for index in indices]
-        else:
-            candidates = _batched_candidates(alt, arch, envs, descs)
+        candidates = scorer(alt, arch, envs)
     obs_metrics.inc("tdo.evaluations", len(candidates))
     valid = [c for c in candidates if c.valid]
     if not valid:
@@ -321,6 +317,7 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
     best = min(valid, key=lambda c: c.time_seconds)
     decision = obs_decisions.active_decision()
     if decision is not None:
+        loss_reason = getattr(scorer, "loss_reason", _modeled_loss_reason)
         for candidate in candidates:
             if candidate is best:
                 continue
@@ -329,15 +326,8 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
                                    "invalid launch: %s" % candidate.reason)
             else:
                 decision.set_time(candidate.desc, candidate.time_seconds)
-                if best.time_seconds > 0.0:
-                    margin = candidate.time_seconds / best.time_seconds
-                    reason = "%.3es modeled, %.2fx slower than the " \
-                             "winner" % (candidate.time_seconds, margin)
-                else:
-                    reason = "%.3es modeled, slower than the winner" \
-                             % candidate.time_seconds
                 decision.eliminate(candidate.desc, obs_decisions.TIMING,
-                                   reason)
+                                   loss_reason(candidate, best))
         decision.select(best.desc, best.time_seconds)
     logger.info("TDO selected %s (%.3es) out of %d alternatives",
                 best.desc, best.time_seconds, len(candidates))
@@ -426,22 +416,25 @@ def _validation_gate(alt: Operation, baseline_func: Operation,
 def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                  env,
                  configs: Sequence[Dict[str, object]],
-                 engine=None) -> TuneOutcome:
-    """Full §VI flow for one gpu_wrapper: alternatives → filters → TDO.
+                 engine=None,
+                 scorer=None) -> TuneOutcome:
+    """Full §VI flow for one gpu_wrapper: plan every coarsening, prune by
+    shared memory on plan metadata, materialize and clean the survivors,
+    prune by register spills, then time what is left and select the
+    winner into place.
 
     ``engine`` (a :class:`repro.engine.TuningEngine`) contributes its
-    evaluation backend and per-stage stats; tuning decisions are cached at
-    the :class:`~repro.pipeline.Program` level, not here.
+    per-stage stats and the validation gate switch; tuning decisions are
+    cached at the :class:`~repro.pipeline.Program` level, not here.
+    ``scorer`` times the filtered alternatives (see
+    :func:`timing_driven_optimization`); the default is the analytical
+    model.
     """
-    from contextlib import nullcontext
+    from ..engine.stats import optional_stage
     from ..transforms.alternatives import plan_coarsening_alternatives
 
     stats = engine.stats if engine is not None else None
-    backend = engine.backend if engine is not None else None
     validate = engine is not None and getattr(engine, "validate", False)
-
-    def stage(name):
-        return stats.stage(name) if stats is not None else nullcontext()
 
     log = obs_decisions.current()
     decision = log.begin(_wrapper_label(wrapper), arch.name) \
@@ -453,7 +446,7 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
         if baseline_func is None and decision is not None:
             decision.note("validation skipped: wrapper not nested in a "
                           "function")
-    with stage("alternatives"), \
+    with optional_stage(stats, "alternatives"), \
             obs_tracer.span("tune.alternatives", category="tune"):
         report = plan_coarsening_alternatives(wrapper, configs)
     if stats is not None:
@@ -474,12 +467,17 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     def materialize(indices):
         # clones are built only for the plans that survived the early
         # metadata filter; cost scales with survivors, not candidates
-        with stage("alternatives"), \
+        with optional_stage(stats, "alternatives"), \
                 obs_tracer.span("tune.materialize", category="tune",
                                 alternatives=len(indices)):
             alt = report.materialize(indices)
-        with stage("cleanup"):
-            _cleanup_alternatives(alt)
+        # clean only the coarsened clones (CSE / redundant-load
+        # elimination) so the backend stages see what a real compiler
+        # would emit; the rest of the module is already at the cleanup
+        # fixpoint, so this equals re-cleaning the whole module (see
+        # tests/test_scoped_cleanup.py)
+        with optional_stage(stats, "cleanup"):
+            cleanup_regions(list(alt.regions))
         return alt
 
     # the IR is stable from materialization until selection, so the spill
@@ -487,19 +485,18 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     # per loop
     with register_estimate_cache():
         filters, alt = run_planned_filters(report.alternatives, arch,
-                                           materialize, backend=backend,
-                                           stage=stage)
+                                           materialize, stats=stats)
         validation = validation_keep = None
         if validate and baseline_func is not None:
             # gate after the cheap static filters, before the timing race:
             # a fast-but-miscompiled alternative must never win
-            with stage("validate"), \
+            with optional_stage(stats, "validate"), \
                     obs_tracer.span("tune.validate", category="tune"):
                 validation, validation_keep = _validation_gate(
                     alt, baseline_func, sizing_wrapper, env, decision)
-        with stage("tdo"):
+        with optional_stage(stats, "tdo"):
             outcome = timing_driven_optimization(alt, arch, env,
-                                                 backend=backend)
+                                                 scorer=scorer)
     outcome.filters = filters
     outcome.validation = validation
     # map the winning region back through the validation prune and the

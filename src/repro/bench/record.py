@@ -57,16 +57,12 @@ class Measurement:
 
 
 def _host_info() -> Dict[str, object]:
-    info: Dict[str, object] = {
+    import numpy
+    return {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
+        "numpy": numpy.__version__,
     }
-    try:
-        import numpy
-        info["numpy"] = numpy.__version__
-    except ImportError:
-        info["numpy"] = None
-    return info
 
 
 class BenchRecorder:

@@ -20,11 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..autotune import paper_sweep_configs
 from ..autotune.tdo import timing_driven_optimization
-from ..dialects import polygeist
-from ..frontend import ModuleGenerator, parse_translation_unit
+from ..pipeline import compile_launch
 from ..simulator.model import InvalidLaunch
 from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800
-from ..transforms import generate_coarsening_alternatives, run_cleanup
+from ..transforms import cleanup_regions, generate_coarsening_alternatives
 from ..translate import retarget_ease_report
 from .base import BENCHMARKS, get_benchmark
 
@@ -87,51 +86,38 @@ def sweep_kernel_configs(source: str, kernel: str,
                          engine=None) -> KernelSweep:
     """Model every coarsening config of one kernel over a set of grids.
 
-    ``engine`` (a :class:`repro.engine.TuningEngine`) contributes its
-    evaluation backend and per-stage instrumentation to the sweep.
+    The §VI flow without its pruning filters: every legal config is
+    materialized, the alternatives regions are cleaned, and each one is
+    timed (none selected). ``block_total``/``thread_total`` of a result
+    are the totals its config requests (directly or as the product of
+    its per-dimension factors); illegal configs are listed last with zero
+    totals. ``engine`` (a :class:`repro.engine.TuningEngine`) contributes
+    per-stage instrumentation.
     """
-    from contextlib import nullcontext
+    from ..engine.stats import optional_stage
     stats = engine.stats if engine is not None else None
-    backend = engine.backend if engine is not None else None
-
-    def stage(name):
-        return stats.stage(name) if stats is not None else nullcontext()
-
     configs = list(configs) if configs is not None \
         else paper_sweep_configs()
-    with stage("parse"):
-        unit = parse_translation_unit(source)
-        generator = ModuleGenerator(unit)
-    wrapper_name = generator.get_launch_wrapper(kernel, len(grids[0]),
-                                                block)
-    with stage("cleanup"):
-        run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    with stage("alternatives"):
-        report = generate_coarsening_alternatives(wrapper, configs)
+    launch = compile_launch(source, kernel, len(grids[0]), block, stats)
+    with optional_stage(stats, "alternatives"):
+        report = generate_coarsening_alternatives(launch.wrapper, configs)
     if stats is not None:
         stats.count("alternative_generations")
         stats.count("alternatives_generated", len(report.alternatives))
     sweep = KernelSweep(benchmark_name, kernel, tuple(block))
     if report.op is None:
         return sweep
-    with stage("cleanup"):
-        run_cleanup(generator.module)
-    grid_args = f.body_block().args[:len(grids[0])]
-    envs = [dict(zip(grid_args, grid)) for grid in grids]
-    envs = _apply_measurement_cutoff(report, arch, envs)
-    with stage("tdo"):
+    with optional_stage(stats, "cleanup"):
+        cleanup_regions(list(report.op.regions))
+    envs = _apply_measurement_cutoff(report, arch, launch.envs(grids))
+    with optional_stage(stats, "tdo"):
         outcome = timing_driven_optimization(report.op, arch, envs,
-                                             select=False,
-                                             backend=backend)
-    by_index = {info.index: info for info in report.alternatives}
+                                             select=False)
     for candidate in outcome.candidates:
-        info = by_index.get(candidate.index)
-        config = info.config if info else {}
+        config = report.alternatives[candidate.index].config
         sweep.results.append(ConfigTime(
-            block_total=int(config.get("block_total", 1)),
-            thread_total=int(config.get("thread_total", 1)),
+            block_total=_requested_total(config, "block"),
+            thread_total=_requested_total(config, "thread"),
             desc=candidate.desc,
             seconds=candidate.time_seconds,
             valid=candidate.valid,
@@ -140,6 +126,14 @@ def sweep_kernel_configs(source: str, kernel: str,
         sweep.results.append(ConfigTime(0, 0, rejected, float("inf"),
                                         False, "illegal coarsening"))
     return sweep
+
+
+def _requested_total(config: Dict, level: str) -> int:
+    """The ``block``/``thread`` coarsening total a config asks for."""
+    total = config.get(level + "_total")
+    if total is None:
+        total = math.prod(config.get(level + "_factors") or (1,))
+    return int(total)
 
 
 def _apply_measurement_cutoff(report, arch, envs):
@@ -285,37 +279,19 @@ def fig15_dimension_sweep(arch: GPUArchitecture = A100,
         ((k, g) for k, g in groups.items() if k[0] == "lud_internal"))
     configs = [{"block_factors": (bx, 1), "thread_factors": (tx, 1)}
                for bx in block_x for tx in thread_x]
-    unit = parse_translation_unit(bench.source)
-    generator = ModuleGenerator(unit)
-    wrapper_name = generator.get_launch_wrapper(kernel, len(grids[0]),
-                                                block)
-    run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    report = generate_coarsening_alternatives(wrapper, configs)
-    run_cleanup(generator.module)
-    grid_args = f.body_block().args[:len(grids[0])]
-    envs = [dict(zip(grid_args, grid)) for grid in grids]
-    envs = _apply_measurement_cutoff(report, arch, envs)
-    outcome = timing_driven_optimization(report.op, arch, envs,
-                                         select=False)
-    by_index = {info.index: info for info in report.alternatives}
+    sweep = sweep_kernel_configs(bench.source, kernel, block, grids, arch,
+                                 configs, "lud")
+    baseline = sweep.baseline()
+    base_seconds = baseline.seconds if baseline is not None else None
     results: Dict[Tuple[int, int], Optional[float]] = {}
-    baseline = None
-    for candidate in outcome.candidates:
-        info = by_index[candidate.index]
-        bx = info.config.get("block_factors", (1, 1))[0]
-        tx = info.config.get("thread_factors", (1, 1))[0]
-        if (bx, tx) == (1, 1) and candidate.valid:
-            baseline = candidate.time_seconds
-    for candidate in outcome.candidates:
-        info = by_index[candidate.index]
-        bx = info.config.get("block_factors", (1, 1))[0]
-        tx = info.config.get("thread_factors", (1, 1))[0]
-        if candidate.valid and baseline:
-            results[(bx, tx)] = baseline / candidate.time_seconds
+    for result in sweep.results:
+        if not result.block_total:
+            continue  # illegal coarsening: not a point of the figure
+        key = (result.block_total, result.thread_total)
+        if result.valid and base_seconds:
+            results[key] = base_seconds / result.seconds
         else:
-            results[(bx, tx)] = None
+            results[key] = None
     return results
 
 
@@ -338,43 +314,33 @@ def table2_profile_row(config: Dict[str, int],
     sharded sweep run them as separate jobs.
     """
     from ..simulator import trace_kernel
-    from ..transforms import coarsen_wrapper
+    from ..transforms import coarsen_wrapper, run_cleanup
     from .lud import make_diagonally_dominant, B
 
     bench = get_benchmark("lud")
-    unit = parse_translation_unit(bench.source)
-    generator = ModuleGenerator(unit)
-    tiles = size // B
-    remaining = tiles - 1
-    wrapper_name = generator.get_launch_wrapper("lud_internal", 2,
-                                                (B, B))
-    run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    if config:
-        coarsen_wrapper(wrapper, **config)
-        run_cleanup(generator.module)
+
+    def coarsened():
+        launch = compile_launch(bench.source, "lud_internal", 2, (B, B))
+        if config:
+            coarsen_wrapper(launch.wrapper, **config)
+            run_cleanup(launch.module)
+        return launch
+
     from ..interpreter import MemoryBuffer
     from ..ir import F32
+    remaining = size // B - 1
+    traced = coarsened()
     matrix = MemoryBuffer((size * size,), F32,
                           data=make_diagonally_dominant(size, 0).ravel())
-    trace = trace_kernel(generator.module, wrapper_name,
+    trace = trace_kernel(traced.module, traced.name,
                          [remaining, remaining, matrix, size, 0], arch)
     # runtime from the analytical model at paper-ish scale
     model_grid = bench.model_size // B - 1
-    unit2 = parse_translation_unit(bench.source)
-    gen2 = ModuleGenerator(unit2)
-    wname2 = gen2.get_launch_wrapper("lud_internal", 2, (B, B))
-    run_cleanup(gen2.module)
-    f2 = gen2.module.func(wname2)
-    wrapper2 = polygeist.find_gpu_wrappers(f2)[0]
-    if config:
-        coarsen_wrapper(wrapper2, **config)
-        run_cleanup(gen2.module)
+    modeled = coarsened()
     from ..simulator.model import model_wrapper_launch
-    env = dict(zip(f2.body_block().args[:2],
-                   (model_grid, model_grid)))
-    timing = model_wrapper_launch(wrapper2, arch, env)
+    timing = model_wrapper_launch(modeled.wrapper, arch,
+                                  modeled.envs([(model_grid,
+                                                 model_grid)])[0])
     metrics = trace.metrics
     metrics.time_seconds = timing.time_seconds
     # unit utilizations come from the analytical model (the trace only

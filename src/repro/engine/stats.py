@@ -18,7 +18,7 @@ traces when a tracer is installed.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterator, Optional
 
 from ..obs import tracer as obs_tracer
@@ -110,3 +110,8 @@ class EngineStats:
             for name in sorted(counters):
                 lines.append("%-28s %8d" % (name, counters[name]))
         return "\n".join(lines)
+
+
+def optional_stage(stats: Optional[EngineStats], name: str):
+    """``stats.stage(name)``, or a no-op block when there are no stats."""
+    return stats.stage(name) if stats is not None else nullcontext()

@@ -187,8 +187,8 @@ class DecisionLog:
 
 
 #: the active decision log, per thread — tuning records decisions on
-#: the thread that drives the pipeline (pool workers only compute),
-#: and a per-thread slot keeps concurrent daemon jobs from restoring
+#: the thread that drives the pipeline, and a per-thread slot keeps
+#: concurrent daemon jobs from restoring
 #: over each other's logs or cross-contaminating their decisions
 _active = threading.local()
 

@@ -28,16 +28,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .autotune import default_configs, tune_wrapper
-from .autotune.tdo import TuneOutcome
+from .autotune.tdo import Candidate, TuneOutcome
 from .dialects import polygeist
 from .engine import TuningEngine, default_engine
 from .engine.cache import CacheEntry, source_hash, tuning_key
 from .frontend import ModuleGenerator, parse_translation_unit
 from .interpreter import Interpreter, MemoryBuffer
-from .ir import FloatType, IndexType, IntegerType, MemRefType
-from .obs import decisions as obs_decisions
+from .ir import (FloatType, IndexType, IntegerType, MemRefType, Module,
+                 Operation, Value)
 from .obs import tracer as obs_tracer
-from .obs.log import get_logger
 from .runtime import DeviceBuffer, GPURuntime
 from .simulator.model import InvalidLaunch
 from .targets import A100, GPUArchitecture
@@ -45,7 +44,56 @@ from .transforms import run_cleanup
 
 TIERS = ("clang", "polygeist-noopt", "polygeist", "polygeist-heuristic")
 
-logger = get_logger("pipeline")
+
+@dataclass
+class LaunchWrapper:
+    """One kernel launch wrapper in a freshly compiled, cleaned module."""
+
+    module: Module
+    #: the wrapper function (grid extents first, then kernel arguments)
+    func: Operation
+
+    @property
+    def name(self) -> str:
+        return self.func.attr("sym_name")
+
+    @property
+    def wrapper(self) -> Operation:
+        """The ``polygeist.gpu_wrapper`` op inside :attr:`func`."""
+        return polygeist.find_gpu_wrappers(self.func)[0]
+
+    def envs(self, grids: Sequence[Tuple[int, ...]]
+             ) -> List[Dict[Value, int]]:
+        """Launch environments (grid argument -> extent), one per grid."""
+        args = self.func.body_block().args
+        return [dict(zip(args[:len(grid)], grid)) for grid in grids]
+
+
+def compile_launches(source: str, launches, stats=None
+                     ) -> List[LaunchWrapper]:
+    """Parse ``source`` and build one launch wrapper per distinct
+    ``(kernel, grid_rank, block)`` of ``launches`` into one module, then
+    clean the module once. ``stats`` (an
+    :class:`~repro.engine.stats.EngineStats`) times the parse and cleanup
+    stages."""
+    from .engine.stats import optional_stage
+    with optional_stage(stats, "parse"):
+        generator = ModuleGenerator(parse_translation_unit(source))
+    names: List[str] = []
+    for kernel, grid_rank, block in launches:
+        name = generator.get_launch_wrapper(kernel, grid_rank, tuple(block))
+        if name not in names:
+            names.append(name)
+    module = generator.module
+    with optional_stage(stats, "cleanup"):
+        run_cleanup(module)
+    return [LaunchWrapper(module, module.func(name)) for name in names]
+
+
+def compile_launch(source: str, kernel: str, grid_rank: int, block,
+                   stats=None) -> LaunchWrapper:
+    """:func:`compile_launches` for a single kernel launch shape."""
+    return compile_launches(source, [(kernel, grid_rank, block)], stats)[0]
 
 
 @dataclass
@@ -111,6 +159,28 @@ class Program:
         with self.engine.stats.stage("cleanup"):
             run_cleanup(self.module, parallel_optimizations=parallel)
 
+    def _prepare(self, kernel: str, block: Tuple[int, ...],
+                 grids: Sequence[Tuple[int, ...]], scorer=None) -> str:
+        """Build ``kernel``'s launch wrapper for ``block`` (and the rank of
+        ``grids``), clean it once, and tune it once as the tier says;
+        returns the wrapper function's name.
+
+        At the ``polygeist`` tier the wrapper is tuned over every grid of
+        ``grids``; ``scorer`` replaces the analytical model there (see
+        :meth:`_tune`).
+        """
+        wrapper_name = self.generator.get_launch_wrapper(
+            kernel, len(grids[0]), block)
+        if wrapper_name not in self._cleaned:
+            self._run_cleanup(self.tier != "clang")
+            self._cleaned.add(wrapper_name)
+        if wrapper_name not in self._tuned:
+            if self.tier == "polygeist":
+                self._tune(wrapper_name, grids, scorer)
+            elif self.tier == "polygeist-heuristic":
+                self._tune_heuristic(wrapper_name)
+        return wrapper_name
+
     # -- kernel launches ---------------------------------------------------------
 
     def launch(self, kernel: str, grid, block, args: Sequence[object],
@@ -124,17 +194,7 @@ class Program:
         block = _as_dims(block)
         if runtime is None:
             runtime = GPURuntime(self.arch)
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grid), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
-        tuning = None
-        if self.tier == "polygeist" and wrapper_name not in self._tuned:
-            tuning = self._tune(wrapper_name, grid)
-        elif self.tier == "polygeist-heuristic" and \
-                wrapper_name not in self._tuned:
-            self._tune_heuristic(wrapper_name)
+        wrapper_name = self._prepare(kernel, block, [grid])
         coerced, writeback = self._coerce_args(wrapper_name, grid, args)
         saved_tracer = self._interpreter.tracer
         self._interpreter.tracer = runtime.tracer
@@ -147,7 +207,7 @@ class Program:
             array[...] = buffer.array.reshape(array.shape)
         return LaunchResult(kernel, grid, block,
                             runtime.kernel_seconds - before,
-                            tuning or self.tuning_outcomes.get(wrapper_name))
+                            self.tuning_outcomes.get(wrapper_name))
 
     def profile_launch(self, kernel: str, grid, block,
                        args: Sequence[object],
@@ -161,99 +221,18 @@ class Program:
         simulated device and timed, and the fastest is then selected into
         place — exactly the "execute each alternative one or more times,
         select the best, call the compiler again to remove the others"
-        flow. Subsequent :meth:`launch` calls run the winner.
+        flow. It is :func:`~repro.autotune.tdo.tune_wrapper` with an
+        interpreter-profiling scorer, so it tunes only at the
+        ``polygeist`` tier, like :meth:`launch`; profiled winners bypass
+        the tuning cache. Subsequent :meth:`launch` calls run the winner.
         """
-        from .autotune.filters import run_filters
-        from .autotune.tdo import Candidate, TuneOutcome
-        from .transforms import generate_coarsening_alternatives
-        from .transforms.alternatives import select_alternative
-
         grid = _as_dims(grid)
         block = _as_dims(block)
-        if runtime is None:
-            runtime = GPURuntime(self.arch)
         wrapper_name = self.generator.get_launch_wrapper(
             kernel, len(grid), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(True)
-            self._cleaned.add(wrapper_name)
-        f = self.module.func(wrapper_name)
-        if wrapper_name not in self._tuned:
-            self._tuned.add(wrapper_name)
-            wrappers = polygeist.find_gpu_wrappers(f)
-            if wrappers:
-                with self.engine.stats.stage("alternatives"):
-                    report = generate_coarsening_alternatives(
-                        wrappers[0], self.autotune_configs)
-                self.engine.stats.count("alternative_generations")
-                self.engine.stats.count("alternatives_generated",
-                                        len(report.alternatives))
-                if report.op is not None:
-                    log = obs_decisions.current()
-                    decision = log.begin(wrapper_name, self.arch.name) \
-                        if log is not None else None
-                    if decision is not None:
-                        for info in report.alternatives:
-                            decision.add(info.desc,
-                                         config=dict(info.config))
-                    self._run_cleanup(True)
-                    run_filters(report.op, self.arch)
-                    coerced, _ = self._coerce_args(wrapper_name, grid, args)
-                    # snapshot device state: profiling runs are discarded
-                    snapshots = [(value, np.array(value.array))
-                                 for value in coerced
-                                 if isinstance(value, MemoryBuffer)]
-                    descs = list(report.op.attr("alternatives.descs"))
-                    candidates = []
-                    saved_tracer = self._interpreter.tracer
-                    saved_selector = self._interpreter.alternative_selector
-                    try:
-                        for index in range(len(report.op.regions)):
-                            self._interpreter.alternative_selector = \
-                                _fixed_selector(index)
-                            probe = GPURuntime(self.arch)
-                            self._interpreter.tracer = probe.tracer
-                            with obs_tracer.span(
-                                    "profile.alternative",
-                                    category="profile",
-                                    desc=descs[index],
-                                    runs=runs_per_alternative):
-                                for _ in range(runs_per_alternative):
-                                    self._interpreter.run_func(
-                                        wrapper_name, list(coerced))
-                                    # restore device state after EVERY
-                                    # run: non-idempotent kernels
-                                    # (accumulators) would otherwise time
-                                    # runs 2..N on already-mutated inputs
-                                    for buffer, snapshot in snapshots:
-                                        buffer.array[...] = snapshot
-                            candidates.append(Candidate(
-                                index, descs[index],
-                                probe.kernel_seconds /
-                                runs_per_alternative, True))
-                    finally:
-                        self._interpreter.tracer = saved_tracer
-                        self._interpreter.alternative_selector = \
-                            saved_selector
-                    best = min(candidates, key=lambda c: c.time_seconds)
-                    if decision is not None:
-                        for candidate in candidates:
-                            if candidate is best:
-                                continue
-                            decision.set_time(candidate.desc,
-                                              candidate.time_seconds)
-                            decision.eliminate(
-                                candidate.desc, obs_decisions.TIMING,
-                                "%.3es profiled, slower than the winner"
-                                % candidate.time_seconds)
-                        decision.select(best.desc, best.time_seconds)
-                    logger.info("profiling selected %s (%.3es) for %s",
-                                best.desc, best.time_seconds,
-                                wrapper_name)
-                    select_alternative(report.op, best.index)
-                    self._run_cleanup(True)
-                    self.tuning_outcomes[wrapper_name] = TuneOutcome(
-                        best.desc, best.time_seconds, candidates)
+        profiler = _InterpreterProfiler(self, wrapper_name, grid, args,
+                                        runs_per_alternative)
+        self._prepare(kernel, block, [grid], scorer=profiler)
         return self.launch(kernel, grid, block, args, runtime=runtime)
 
     def tune_aggregate(self, kernel: str, block, grids) -> None:
@@ -265,26 +244,8 @@ class Program:
         """
         block = _as_dims(block)
         grids = [_as_dims(g) for g in grids]
-        if not grids:
-            return
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grids[0]), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
-        if self.tier != "polygeist" or wrapper_name in self._tuned:
-            return
-        f = self.module.func(wrapper_name)
-        wrappers = polygeist.find_gpu_wrappers(f)
-        self._tuned.add(wrapper_name)
-        if not wrappers:
-            return
-        grid_args = f.body_block().args[:len(grids[0])]
-        envs = [dict(zip(grid_args, grid)) for grid in grids]
-        outcome = self._tune_with_cache(wrapper_name, wrappers[0], envs,
-                                        [tuple(g) for g in grids])
-        if outcome is not None:
-            self.tuning_outcomes[wrapper_name] = outcome
+        if grids:
+            self._prepare(kernel, block, grids)
 
     def model_launch(self, kernel: str, grid, block,
                      runtime: Optional[GPURuntime] = None):
@@ -297,16 +258,7 @@ class Program:
         from .simulator.model import model_wrapper_launch
         grid = _as_dims(grid)
         block = _as_dims(block)
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grid), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
-        if self.tier == "polygeist" and wrapper_name not in self._tuned:
-            self._tune(wrapper_name, grid)
-        elif self.tier == "polygeist-heuristic" and \
-                wrapper_name not in self._tuned:
-            self._tune_heuristic(wrapper_name)
+        wrapper_name = self._prepare(kernel, block, [grid])
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
         if not wrappers:
@@ -337,16 +289,8 @@ class Program:
         grids = [_as_dims(g) for g in grids]
         if not grids:
             return []
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grids[0]), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
-        if self.tier == "polygeist" and wrapper_name not in self._tuned:
-            self._tune(wrapper_name, grids[0])
-        elif self.tier == "polygeist-heuristic" and \
-                wrapper_name not in self._tuned:
-            self._tune_heuristic(wrapper_name)
+        # tuned for the first launch, exactly like model_launch
+        wrapper_name = self._prepare(kernel, block, grids[:1])
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
         if not wrappers:
@@ -395,18 +339,39 @@ class Program:
         self.heuristic_choices = getattr(self, "heuristic_choices", {})
         self.heuristic_choices[wrapper_name] = choice
 
-    def _tune(self, wrapper_name: str, grid: Tuple[int, ...]
-              ) -> Optional[TuneOutcome]:
+    def _tune(self, wrapper_name: str, grids: Sequence[Tuple[int, ...]],
+              scorer=None) -> None:
+        """Tune one wrapper over ``grids`` and record the outcome.
+
+        The model path goes through the tuning cache; a ``scorer``'s
+        timings are not the model's, so its outcomes are never cached.
+        """
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
         self._tuned.add(wrapper_name)
         if not wrappers:
-            return None
-        env = dict(zip(f.body_block().args[:len(grid)], grid))
-        outcome = self._tune_with_cache(wrapper_name, wrappers[0], [env],
-                                        [tuple(grid)])
+            return
+        envs = [dict(zip(f.body_block().args[:len(grid)], grid))
+                for grid in grids]
+        if scorer is None:
+            outcome = self._tune_with_cache(wrapper_name, wrappers[0], envs,
+                                            grids)
+        else:
+            outcome = self._run_tune(wrappers[0], envs, scorer)
         if outcome is not None:
             self.tuning_outcomes[wrapper_name] = outcome
+
+    def _run_tune(self, wrapper, envs: List[Dict],
+                  scorer=None) -> Optional[TuneOutcome]:
+        """:func:`tune_wrapper` plus the post-selection cleanup; ``None``
+        (the kernel stays untransformed) when tuning fails."""
+        try:
+            outcome = tune_wrapper(wrapper, self.arch, envs,
+                                   self.autotune_configs,
+                                   engine=self.engine, scorer=scorer)
+        except (ValueError, InvalidLaunch):
+            return None
+        self._run_cleanup(True)
         return outcome
 
     # -- cached tuning ------------------------------------------------------------
@@ -435,15 +400,12 @@ class Program:
             stats.count("cache_hits")
             return self._replay_cached(wrapper, entry)
         stats.count("cache_misses")
-        try:
-            outcome = tune_wrapper(wrapper, self.arch, envs,
-                                   self.autotune_configs,
-                                   engine=self.engine)
-        except (ValueError, InvalidLaunch):
+        outcome = self._run_tune(wrapper, envs)
+        if outcome is None:
+            # failed tunings are cached too, so they are not retried
             cache.store(key, CacheEntry(None, None))
-            return None  # keep the untransformed kernel
-        self._run_cleanup(True)
-        cache.store(key, CacheEntry(outcome, outcome.selected_config))
+        else:
+            cache.store(key, CacheEntry(outcome, outcome.selected_config))
         return outcome
 
     def _replay_cached(self, wrapper,
@@ -548,6 +510,62 @@ class Program:
 
     def kernels(self) -> List[str]:
         return [f.name for f in self.unit.kernels()]
+
+
+class _InterpreterProfiler:
+    """TDO scorer of the profiling mode: executes every alternative of the
+    filtered ``polygeist.alternatives`` op on the simulated device with the
+    launch's real arguments and scores it by its mean kernel time.
+
+    Device state is snapshotted once and restored after every run, so
+    probe executions leave no side effects and non-idempotent kernels
+    (accumulators) time every run on the original inputs.
+    """
+
+    def __init__(self, program: "Program", wrapper_name: str,
+                 grid: Tuple[int, ...], args: Sequence[object], runs: int):
+        self.program = program
+        self.wrapper_name = wrapper_name
+        self.grid = grid
+        self.args = args
+        self.runs = runs
+
+    def __call__(self, alt: Operation, arch: GPUArchitecture,
+                 envs) -> List[Candidate]:
+        interpreter = self.program._interpreter
+        coerced, _ = self.program._coerce_args(self.wrapper_name, self.grid,
+                                               self.args)
+        snapshots = [(value, np.array(value.array)) for value in coerced
+                     if isinstance(value, MemoryBuffer)]
+        descs = polygeist.alternative_descs(alt)
+        candidates = []
+        saved_tracer = interpreter.tracer
+        saved_selector = interpreter.alternative_selector
+        try:
+            for index in range(len(alt.regions)):
+                interpreter.alternative_selector = _fixed_selector(index)
+                probe = GPURuntime(arch)
+                interpreter.tracer = probe.tracer
+                with obs_tracer.span("profile.alternative",
+                                     category="profile", desc=descs[index],
+                                     runs=self.runs):
+                    for _ in range(self.runs):
+                        interpreter.run_func(self.wrapper_name,
+                                             list(coerced))
+                        for buffer, snapshot in snapshots:
+                            buffer.array[...] = snapshot
+                candidates.append(Candidate(
+                    index, descs[index], probe.kernel_seconds / self.runs,
+                    True))
+        finally:
+            interpreter.tracer = saved_tracer
+            interpreter.alternative_selector = saved_selector
+        return candidates
+
+    @staticmethod
+    def loss_reason(candidate: Candidate, best: Candidate) -> str:
+        return "%.3es profiled, slower than the winner" % \
+            candidate.time_seconds
 
 
 def _fixed_selector(index: int):

@@ -64,20 +64,14 @@ class InvalidLaunch(ValueError):
 
 
 def use_scalar_model() -> bool:
-    """True when the scalar reference path is forced (or numpy missing).
+    """True when the scalar reference path is forced.
 
     ``REPRO_SCALAR_MODEL=1`` pins every consumer (TDO scoring, composite
     modeling) to the one-launch-at-a-time reference implementation — the
     equivalence suite diffs the two paths through this switch.
     """
     import os
-    if os.environ.get("REPRO_SCALAR_MODEL", "") not in ("", "0"):
-        return True
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return True
-    return False
+    return os.environ.get("REPRO_SCALAR_MODEL", "") not in ("", "0")
 
 
 @dataclass
@@ -624,18 +618,15 @@ def _eval_index_vec(value: Value, cols: Dict[Value, object]):
 def env_columns(envs: Sequence[Dict[Value, int]]):
     """Stack launch environments into per-key int64 columns.
 
-    Returns ``None`` when the envs cannot be stacked (fewer than two,
-    ragged key sets, or numpy unavailable) — callers fall back to the
+    Returns ``None`` when the envs cannot be stacked (fewer than two, or
+    ragged key sets) — callers fall back to the
     scalar :func:`block_count`. Computing the columns once and passing
     them to every :func:`block_counts` call over the same envs avoids
     re-validating and re-stacking per (loop, alternative).
     """
     if len(envs) < 2:
         return None
-    try:
-        import numpy as np
-    except ImportError:
-        return None
+    import numpy as np
     keys = list(envs[0])
     if any(len(env) != len(keys) or any(k not in env for k in keys)
            for env in envs[1:]):
@@ -651,8 +642,8 @@ def block_counts(block_parallel: Operation,
 
     One evaluation of the bound expressions over stacked int64 columns
     replaces ``len(envs)`` recursive walks; any env set the vectorized
-    evaluator cannot express (ragged keys, env-dependent zero divisors,
-    numpy unavailable) falls back to per-env :func:`block_count`, so the
+    evaluator cannot express (ragged keys, env-dependent zero divisors)
+    falls back to per-env :func:`block_count`, so the
     result is always elementwise-identical to the scalar path.
 
     ``cols`` may carry :func:`env_columns`'s result for these same envs,

@@ -10,10 +10,11 @@ Generation is two-phase so its cost scales with *survivors*, not
 candidates: :func:`plan_coarsening_alternatives` legality-checks every
 config and predicts its post-coarsening shared-memory footprint without
 cloning anything, and :meth:`PlannedAlternatives.materialize` builds full
-IR clones only for the configs that survive the early filters. The
-one-shot :func:`generate_coarsening_alternatives` (plan + materialize
-everything) is kept for callers that need all regions, e.g. profiling and
-differential validation.
+IR clones only for the configs that survive the early filters.
+:func:`generate_coarsening_alternatives` is the same two phases with
+nothing filtered in between (plan + materialize every legal config), for
+callers that time or validate every region: the unfiltered coarsening
+sweeps and differential validation.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def plan_coarsening_alternatives(
     """Legality-check every config against ``wrapper`` without cloning.
 
     Produces the same legal/illegal partition, descriptions, and
-    rejection messages as eager generation, plus a per-survivor
+    rejection messages as materializing every config, plus a per-survivor
     shared-memory prediction for the early pruning filter. The wrapper is
     left untouched until :meth:`PlannedAlternatives.materialize`.
     """

@@ -422,28 +422,23 @@ def validate_source(source: str, kernel: str, grid: Sequence[int],
     """Compile ``kernel``, generate all coarsening alternatives, and
     validate each against the untransformed baseline."""
     from ..autotune.search import default_configs
-    from ..frontend import ModuleGenerator, parse_translation_unit
-    from ..transforms import run_cleanup
+    from ..pipeline import compile_launch
+    from ..transforms import cleanup_regions
     from ..transforms.alternatives import generate_coarsening_alternatives
 
     if configs is None:
         configs = default_configs()
-    unit = parse_translation_unit(source)
-    generator = ModuleGenerator(unit)
-    name = generator.get_launch_wrapper(kernel, len(grid), tuple(block))
-    run_cleanup(generator.module)
-    func_op = generator.module.func(name)
-    baseline_func = func_op.clone({})
-    wrapper = polygeist.find_gpu_wrappers(func_op)[0]
+    launch = compile_launch(source, kernel, len(grid), block)
+    baseline_func = launch.func.clone({})
     sizing_wrapper = polygeist.find_gpu_wrappers(baseline_func)[0]
-    grid_env = dict(zip(func_op.body_block().args, grid))
-    generation = generate_coarsening_alternatives(wrapper, configs)
+    grid_env = launch.envs([tuple(grid)])[0]
+    generation = generate_coarsening_alternatives(launch.wrapper, configs)
     if generation.op is None:
-        report = ValidationReport(label=name)
+        report = ValidationReport(label=launch.name)
         report.baseline_note = "no legal coarsening configuration: %s" % \
             "; ".join(generation.rejected)
         return report
-    run_cleanup(generator.module)
+    cleanup_regions(list(generation.op.regions))
     return validate_alternatives(baseline_func, generation.op, grid_env,
                                  sizing_wrapper, seed=seed, rtol=rtol,
                                  atol=atol, max_steps=max_steps,

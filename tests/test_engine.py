@@ -1,4 +1,4 @@
-"""Tests for the tuning engine: cache, parallel evaluation, stats, and the
+"""Tests for the tuning engine: cache, worker-count guard, stats, and the
 correctness fixes that ride along with it (snapshot restoration in
 profiling mode, filter-report index remapping, stable model-cache keys,
 selector range checks, zero-time speedup guards)."""
@@ -9,22 +9,15 @@ import numpy as np
 import pytest
 
 from repro.autotune import default_configs, run_filters, tune_wrapper
-from repro.autotune.tdo import (Candidate, TuneOutcome,
-                                timing_driven_optimization)
+from repro.autotune.tdo import Candidate, TuneOutcome
 from repro.dialects import polygeist
-from repro.engine import (CacheEntry, EngineStats, SequentialBackend,
-                          ThreadPoolBackend, TuningCache, TuningEngine,
-                          make_backend, source_hash, tuning_key)
+from repro.engine import (CacheEntry, EngineStats, TuningCache,
+                          TuningEngine, source_hash, tuning_key)
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import verify_module
 from repro.pipeline import Program, _fixed_selector
 from repro.targets import A100, RX6800
 from repro.transforms import generate_coarsening_alternatives
-
-
-def _square(x):
-    """Module-level so ProcessPoolBackend can pickle it."""
-    return x * x
 
 
 SOURCE = """
@@ -181,87 +174,12 @@ class TestTuningCache:
         assert source_hash("x", {"N": 1}) != source_hash("x", {"N": 2})
 
 
-class TestParallelBackend:
-    def test_make_backend(self, monkeypatch):
-        assert isinstance(make_backend(1), SequentialBackend)
-        assert isinstance(make_backend(0), SequentialBackend)
-        assert isinstance(make_backend(4), ThreadPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "3")
-        assert isinstance(make_backend(), ThreadPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "not-a-number")
-        assert isinstance(make_backend(), SequentialBackend)
-
-    def test_backends_preserve_order(self):
-        items = list(range(40))
-        fn = lambda x: x * x
-        assert ThreadPoolBackend(4).map(fn, items) == \
-            SequentialBackend().map(fn, items)
-
-    def test_make_backend_process_kind(self, monkeypatch):
-        from repro.engine import ProcessPoolBackend
-        assert isinstance(make_backend(4, kind="process"),
-                          ProcessPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_BACKEND", "process")
-        assert isinstance(make_backend(4), ProcessPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_BACKEND", "thread")
-        assert isinstance(make_backend(4), ThreadPoolBackend)
-        # backend kind never overrides a sequential worker count
-        assert isinstance(make_backend(1, kind="process"),
-                          SequentialBackend)
-
-    def test_process_backend_preserves_order(self):
-        from repro.engine import ProcessPoolBackend
-        items = list(range(12))
-        assert ProcessPoolBackend(2).map(_square, items) == \
-            [x * x for x in items]
-
-    def test_process_backend_single_item_shortcut(self):
-        # length <= 1 avoids pool startup AND the picklability demand
-        from repro.engine import ProcessPoolBackend
-        assert ProcessPoolBackend(2).map(lambda x: x + 1, [41]) == [42]
-
-    @pytest.mark.parametrize("bench_name", ["lud", "gaussian"])
-    def test_parallel_selects_same_winner(self, bench_name):
-        from repro.benchsuite import gaussian, lud  # noqa: F401 (register)
-        from repro.benchsuite.base import get_benchmark
-        bench = get_benchmark(bench_name)
-        grouped = {}
-        for kernel, grid, block in bench.iter_launches(bench.verify_size):
-            grouped.setdefault((kernel, tuple(block)), []).append(
-                tuple(grid))
-        for (kernel, block), grids in grouped.items():
-            outcomes = {}
-            for label, workers in (("sequential", None), ("parallel", 4)):
-                engine = fresh_engine(workers=workers)
-                program = Program(bench.source, arch=A100, engine=engine)
-                program.tune_aggregate(kernel, block, grids)
-                outcome = program.tuning_outcomes.get(
-                    next(iter(program.tuning_outcomes), None))
-                outcomes[label] = outcome
-            seq, par = outcomes["sequential"], outcomes["parallel"]
-            if seq is None:
-                assert par is None
-                continue
-            assert seq.selected_desc == par.selected_desc, \
-                "%s/%s: parallel TDO picked a different winner" % (
-                    bench_name, kernel)
-            assert seq.selected_time == pytest.approx(par.selected_time)
-
-    def test_tdo_backend_matches_sequential(self):
-        module_s, name_s, _, report_s = build_alt()
-        module_p, name_p, _, report_p = build_alt()
-        env_s = {module_s.func(name_s).body_block().arg(0): 512}
-        env_p = {module_p.func(name_p).body_block().arg(0): 512}
-        seq = timing_driven_optimization(report_s.op, A100, env_s,
-                                         select=False)
-        par = timing_driven_optimization(report_p.op, A100, env_p,
-                                         select=False,
-                                         backend=ThreadPoolBackend(4))
-        assert [c.desc for c in seq.candidates] == \
-            [c.desc for c in par.candidates]
-        assert [c.time_seconds for c in seq.candidates] == \
-            pytest.approx([c.time_seconds for c in par.candidates])
-        assert seq.selected_desc == par.selected_desc
+class TestEngineWorkers:
+    def test_only_one_worker_accepted(self):
+        assert fresh_engine(workers=1).stats is not None
+        assert fresh_engine(workers=None).stats is not None
+        with pytest.raises(ValueError, match="repro sweep --workers"):
+            TuningEngine(workers=2)
 
 
 class TestEngineStats:

@@ -1,5 +1,5 @@
 """Tests for the ``repro.obs`` observability layer: tracer spans (incl.
-nesting under the parallel tuning backend), Chrome trace-event export,
+nesting under concurrent tuning threads), Chrome trace-event export,
 metrics registry and the EngineStats facade, the TDO decision log, the
 ``tune --trace`` / ``--explain`` / ``trace summarize`` CLI, pass-failure
 records, logging flags, and the disabled-path overhead guard."""
@@ -130,36 +130,56 @@ def _assert_well_nested(spans):
 
 
 class TestParallelBackendNesting:
-    def test_spans_nest_under_thread_pool(self):
+    """Concurrent tuning runs on plain threads — what ``repro serve
+    --isolation thread`` does with one job per dispatcher thread — keep
+    per-thread span nesting in one shared tracer."""
+
+    def _tune_on_threads(self, configs, count=2):
         from repro.__main__ import _run_full_tune
-        engine = TuningEngine(workers=2)
-        configs = paper_sweep_configs(max_product=4)
+        errors = []
+
+        def tune():
+            try:
+                _run_full_tune(SOURCE, "scale", (256,), [(64,)], A100,
+                               configs, TuningEngine())
+            except Exception as error:  # re-raised on the main thread
+                errors.append(error)
+
         with tracing() as tracer:
-            _run_full_tune(SOURCE, "scale", (256,), [(64,)], A100,
-                           configs, engine)
-        spans = tracer.finished()
+            threads = [threading.Thread(target=tune) for _ in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        return tracer.finished()
+
+    def test_spans_nest_under_thread_pool(self):
+        spans = self._tune_on_threads(paper_sweep_configs(max_product=4))
         names = {s.name for s in spans}
         assert "tdo" in names
         assert "tdo.alternative" in names
         assert "filters" in names
-        # the pool evaluated alternatives off the main thread
+        # each tuning thread timed its alternatives on its own stack, off
+        # the main thread
+        tdo_tids = {s.tid for s in spans if s.name == "tdo"}
+        assert len(tdo_tids) == 2
+        assert threading.get_ident() not in tdo_tids
         eval_tids = {s.tid for s in spans if s.name == "tdo.alternative"}
-        assert threading.get_ident() not in eval_tids
+        assert eval_tids == tdo_tids
         for span in spans:
             if span.depth > 0:
                 assert span.parent is not None
         _assert_well_nested(spans)
 
-    def test_model_spans_carry_worker_tids(self):
-        from repro.__main__ import _run_full_tune
-        engine = TuningEngine(workers=2)
-        configs = paper_sweep_configs(max_product=8)
-        with tracing() as tracer:
-            _run_full_tune(SOURCE, "scale", (256,), [(64,)], A100,
-                           configs, engine)
-        compute = [s for s in tracer.finished()
-                   if s.name == "model.compute"]
+    def test_model_spans_carry_worker_tids(self, monkeypatch):
+        # the scalar model records one model.compute span per launch
+        monkeypatch.setenv("REPRO_SCALAR_MODEL", "1")
+        spans = self._tune_on_threads(paper_sweep_configs(max_product=8))
+        compute = [s for s in spans if s.name == "model.compute"]
         assert compute
+        assert threading.get_ident() not in {s.tid for s in compute}
         for span in compute:
             assert span.parent is not None
 

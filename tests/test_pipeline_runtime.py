@@ -8,7 +8,7 @@ from repro.autotune import (default_configs, paper_sweep_configs,
                             timing_driven_optimization, tune_wrapper)
 from repro.dialects import polygeist
 from repro.frontend import ModuleGenerator, parse_translation_unit
-from repro.ir import verify_module
+from repro.ir import print_module, verify_module
 from repro.pipeline import Program, compile_cuda
 from repro.runtime import GPURuntime
 from repro.targets import A100, RX6800
@@ -81,10 +81,10 @@ class TestFilters:
             source, "k",
             configs=[{"block_total": 1}, {"block_total": 2},
                      {"block_total": 4}])
-        from repro.autotune import prune_by_shared_memory
-        result = prune_by_shared_memory(report.op, A100)
+        result = run_filters(report.op, A100)
         # 4 x 16 KB = 64 KB > 48 KB: dropped
         assert len(result.dropped_shared) == 1
+        assert "block=4" in result.dropped_shared[0]
         assert len(report.op.regions) == 2
 
     def test_register_pruning_keeps_least_bad(self):
@@ -295,6 +295,32 @@ class TestProfileMode:
         program.profile_launch("inc", 4, 64, [data], runtime=rt)
         # exactly ONE increment despite many probe runs
         np.testing.assert_array_equal(rt.to_host(data), 1.0)
+
+    @pytest.mark.parametrize("tier", ["clang", "polygeist-noopt",
+                                      "polygeist"])
+    def test_profile_launch_follows_tier(self, tier):
+        """Profiling tunes only where launch tunes (the polygeist tier)
+        and cleans the module exactly as launch does at every tier."""
+        source = """
+        __global__ void inc(float *x) {
+            x[blockIdx.x * blockDim.x + threadIdx.x] += 1.0f;
+        }
+        """
+        modules = {}
+        tuned = {}
+        for mode in ("profile_launch", "launch"):
+            program = compile_cuda(source, arch=A100, tier=tier,
+                                   autotune_configs=default_configs(4))
+            rt = GPURuntime(A100)
+            data = rt.to_device(np.zeros(256, dtype=np.float32))
+            getattr(program, mode)("inc", 4, 64, [data], runtime=rt)
+            np.testing.assert_array_equal(rt.to_host(data), 1.0)
+            modules[mode] = print_module(program.module)
+            tuned[mode] = set(program.tuning_outcomes)
+        assert tuned["profile_launch"] == tuned["launch"]
+        assert bool(tuned["launch"]) == (tier == "polygeist")
+        if tier != "polygeist":
+            assert modules["profile_launch"] == modules["launch"]
 
     def test_profile_and_model_agree_on_ranking(self):
         """Simulated-execution TDO and analytic TDO pick compatible
